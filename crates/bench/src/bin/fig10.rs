@@ -5,10 +5,10 @@
 
 use prudentia_apps::Service;
 use prudentia_bench::{bar, Mode};
-use prudentia_core::{run_pair, NetworkSetting};
+use prudentia_core::{execute_pairs, ExecutorConfig, NetworkSetting, PairSpec, PrudentiaError};
 use prudentia_stats::{iqr, median};
 
-fn main() {
+fn main() -> Result<(), PrudentiaError> {
     let mode = Mode::from_env();
     let cases = [
         (
@@ -34,15 +34,15 @@ fn main() {
         ),
     ];
     println!("Fig 10 — per-trial throughput of the service in CAPS in each pairing");
+    let config = ExecutorConfig::new(mode.policy(), mode.duration(), 1);
     for (con, inc, setting) in cases {
-        let out = run_pair(
-            &con.spec(),
-            &inc.spec(),
-            &setting,
-            mode.policy(),
-            mode.duration(),
-            0.0,
-        );
+        let pair = PairSpec {
+            contender: con.spec(),
+            incumbent: inc.spec(),
+            setting: setting.clone(),
+        };
+        let (mut outcomes, _) = execute_pairs(&[pair], &config)?;
+        let out = outcomes.pop().expect("one pair in, one outcome out");
         let samples = out.incumbent_samples_bps();
         let mbps: Vec<f64> = samples.iter().map(|b| b / 1e6).collect();
         println!();
@@ -78,4 +78,5 @@ fn main() {
     println!("contenders (sometimes-harmful, sometimes-not), while iPerf pairings are");
     println!("tight; unstable pairs are exactly the ones the scheduler re-queues up to");
     println!("its 30-trial cap without meeting the CI rule.");
+    Ok(())
 }

@@ -3,18 +3,18 @@
 //! Derived from the same all-pairs run as Fig 2 (cached in the results
 //! directory).
 
-use prudentia_bench::{heatmap_labels, load_or_run_allpairs, results_dir, Mode};
+use prudentia_bench::{heatmap_labels, load_or_run_allpairs, outcomes_in, results_dir, Mode};
 use prudentia_core::{Heatmap, HeatmapStat, NetworkSetting};
 
 fn main() {
     let mode = Mode::from_env();
-    let store = load_or_run_allpairs(mode);
+    let allpairs = load_or_run_allpairs(mode);
     let labels = heatmap_labels();
     for setting in [
         NetworkSetting::highly_constrained(),
         NetworkSetting::moderately_constrained(),
     ] {
-        let outcomes: Vec<_> = store.for_setting(&setting.name).cloned().collect();
+        let outcomes = outcomes_in(&allpairs, &setting);
         let map = Heatmap::build(HeatmapStat::QueueingDelayMs, &labels, &outcomes);
         println!();
         println!("Fig 13 — {} — {}", setting.name, map.stat.title());

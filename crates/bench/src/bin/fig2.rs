@@ -4,18 +4,18 @@
 //! settings. Rows are contenders (contentiousness), columns are
 //! incumbents (sensitivity).
 
-use prudentia_bench::{heatmap_labels, load_or_run_allpairs, results_dir, Mode};
+use prudentia_bench::{heatmap_labels, load_or_run_allpairs, outcomes_in, results_dir, Mode};
 use prudentia_core::{Heatmap, HeatmapStat, NetworkSetting};
 
 fn main() {
     let mode = Mode::from_env();
-    let store = load_or_run_allpairs(mode);
+    let allpairs = load_or_run_allpairs(mode);
     let labels = heatmap_labels();
     for setting in [
         NetworkSetting::highly_constrained(),
         NetworkSetting::moderately_constrained(),
     ] {
-        let outcomes: Vec<_> = store.for_setting(&setting.name).cloned().collect();
+        let outcomes = outcomes_in(&allpairs, &setting);
         let map = Heatmap::build(HeatmapStat::MmfSharePct, &labels, &outcomes);
         println!();
         println!("Fig 2 — {} — {}", setting.name, map.stat.title());
@@ -45,7 +45,7 @@ fn main() {
         std::fs::write(&csv, map.render_csv()).expect("write csv");
         println!("(csv written to {})", csv.display());
     }
-    let unstable = store.unstable_pairs();
+    let unstable: Vec<_> = allpairs.iter().filter(|o| !o.converged).collect();
     if !unstable.is_empty() {
         println!();
         println!(

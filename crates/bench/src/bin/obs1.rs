@@ -3,17 +3,17 @@
 //! abstract's headline numbers (mean/median loser share and the
 //! self-competition average).
 
-use prudentia_bench::{load_or_run_allpairs, Mode};
+use prudentia_bench::{load_or_run_allpairs, outcomes_in, Mode};
 use prudentia_core::{loser_stats, self_competition_mean, NetworkSetting};
 
 fn main() {
     let mode = Mode::from_env();
-    let store = load_or_run_allpairs(mode);
+    let allpairs = load_or_run_allpairs(mode);
     for setting in [
         NetworkSetting::highly_constrained(),
         NetworkSetting::moderately_constrained(),
     ] {
-        let outcomes: Vec<_> = store.for_setting(&setting.name).cloned().collect();
+        let outcomes = outcomes_in(&allpairs, &setting);
         let stats = loser_stats(&outcomes);
         println!();
         println!("Obs 1 — {}", setting.name);
@@ -35,7 +35,7 @@ fn main() {
         );
     }
     // Overall (both settings), the abstract's framing.
-    let stats = loser_stats(&store.outcomes);
+    let stats = loser_stats(&allpairs);
     println!();
     println!(
         "Overall: losing services achieve on average {:.0}% of their max-min fair",

@@ -4,7 +4,7 @@
 //! statistics, and the unstable-pair list, all from the cached all-pairs
 //! run. Output: `results/report_<mode>.md`.
 
-use prudentia_bench::{heatmap_labels, load_or_run_allpairs, results_dir, Mode};
+use prudentia_bench::{heatmap_labels, load_or_run_allpairs, outcomes_in, results_dir, Mode};
 use prudentia_core::{loser_stats, self_competition_mean, Heatmap, HeatmapStat, NetworkSetting};
 use std::fmt::Write as _;
 
@@ -37,21 +37,21 @@ fn heatmap_md(map: &Heatmap) -> String {
 
 fn main() {
     let mode = Mode::from_env();
-    let store = load_or_run_allpairs(mode);
+    let allpairs = load_or_run_allpairs(mode);
     let labels = heatmap_labels();
     let mut md = String::new();
     let _ = writeln!(md, "# Prudentia watchdog report ({} mode)\n", mode.tag());
     let _ = writeln!(
         md,
         "Median per-pair statistics over {} recorded pair outcomes.\n",
-        store.outcomes.len()
+        allpairs.len()
     );
 
     for setting in [
         NetworkSetting::highly_constrained(),
         NetworkSetting::moderately_constrained(),
     ] {
-        let outcomes: Vec<_> = store.for_setting(&setting.name).cloned().collect();
+        let outcomes = outcomes_in(&allpairs, &setting);
         let _ = writeln!(md, "## {}\n", setting.name);
         for stat in [
             HeatmapStat::MmfSharePct,
@@ -121,7 +121,7 @@ fn main() {
         );
     }
 
-    let unstable = store.unstable_pairs();
+    let unstable: Vec<_> = allpairs.iter().filter(|o| !o.converged).collect();
     let _ = writeln!(md, "## Unstable pairs (failed the §3.4 CI rule)\n");
     if unstable.is_empty() {
         let _ = writeln!(md, "none\n");

@@ -8,9 +8,9 @@
 //!
 //! * `PRUDENTIA_MODE` — `quick` (default: 3-minute experiments, 3–7
 //!   trials) or `paper` (10-minute experiments, 10–30 trials, §3.4).
-//! * `PRUDENTIA_RESULTS` — directory for shared result JSON (default
+//! * `PRUDENTIA_RESULTS` — directory for shared results (default
 //!   `results/`). Figs 2, 11, 12, 13 and the Obs 1 statistics all derive
-//!   from one all-pairs run that is cached there.
+//!   from one all-pairs watchdog cycle whose store lives there.
 //! * `PRUDENTIA_TRIAL_CACHE` — optional path of a persistent per-trial
 //!   cache; binaries that re-run overlapping pair sets then skip trials
 //!   already simulated (results are identical either way).
@@ -18,9 +18,10 @@
 #![warn(missing_docs)]
 
 use prudentia_apps::Service;
+use prudentia_core::daemon::full_matrix;
 use prudentia_core::{
-    execute_pairs, DurationPolicy, ExecutorConfig, NetworkSetting, PairSpec, ResultStore,
-    TrialCache, TrialPolicy,
+    execute_pairs, Daemon, DaemonConfig, DurationPolicy, ExecutorConfig, NetworkSetting,
+    PairOutcome, PairSpec, TrialCache, TrialPolicy, WatchdogConfig,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -93,7 +94,7 @@ pub fn trial_cache() -> Option<(Arc<TrialCache>, PathBuf)> {
 
 /// Run pairs on the trial executor, honouring `PRUDENTIA_TRIAL_CACHE`,
 /// and print the run's telemetry to stderr.
-pub fn run_pairs(pairs: &[PairSpec], mode: Mode) -> Vec<prudentia_core::PairOutcome> {
+pub fn run_pairs(pairs: &[PairSpec], mode: Mode) -> Vec<PairOutcome> {
     let mut config = ExecutorConfig::new(mode.policy(), mode.duration(), parallelism());
     let cache = trial_cache();
     if let Some((c, _)) = &cache {
@@ -121,38 +122,48 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Load the all-pairs throughput run (Fig 2 data, shared by Figs 11–13 and
-/// the Obs 1 statistics), computing and caching it if absent.
-pub fn load_or_run_allpairs(mode: Mode) -> ResultStore {
-    let path = results_dir().join(format!("allpairs_{}.json", mode.tag()));
-    if let Ok(store) = ResultStore::load(&path) {
-        eprintln!("(reusing cached all-pairs results from {})", path.display());
-        return store;
+/// the Obs 1 statistics) in canonical matrix order: one watchdog cycle
+/// over a store in `results/allpairs_<mode>/`, run (or resumed) unless
+/// that store already holds a completed cycle of the same matrix.
+pub fn load_or_run_allpairs(mode: Mode) -> Vec<PairOutcome> {
+    let dir = results_dir().join(format!("allpairs_{}", mode.tag()));
+    let mut watchdog = WatchdogConfig::builder()
+        .settings(vec![
+            NetworkSetting::highly_constrained(),
+            NetworkSetting::moderately_constrained(),
+        ])
+        .policy(mode.policy())
+        .duration(mode.duration())
+        .parallelism(parallelism());
+    if let Some(path) = std::env::var_os("PRUDENTIA_TRIAL_CACHE") {
+        watchdog = watchdog.cache_path(path);
     }
-    eprintln!(
-        "(running all-pairs heatmap experiments [{} mode], this is the slow part...)",
-        mode.tag()
-    );
-    let services = Service::heatmap_set();
-    let mut pairs = Vec::new();
-    for setting in [
-        NetworkSetting::highly_constrained(),
-        NetworkSetting::moderately_constrained(),
-    ] {
-        for a in &services {
-            for b in &services {
-                pairs.push(PairSpec {
-                    contender: a.spec(),
-                    incumbent: b.spec(),
-                    setting: setting.clone(),
-                });
-            }
-        }
+    let services: Vec<_> = Service::heatmap_set().iter().map(|s| s.spec()).collect();
+    let mut config = DaemonConfig::new(&dir);
+    config.watchdog = watchdog.build().expect("valid bench config");
+    // One batch: the whole matrix shares one trial pool.
+    config.batch_pairs = full_matrix(&services, &config.watchdog.settings).len();
+    let mut daemon = Daemon::open(services, config).expect("open all-pairs store");
+    let done = daemon
+        .latest_checkpoint()
+        .is_some_and(|c| c.completed && c.fingerprint == daemon.fingerprint());
+    if done {
+        eprintln!("(reusing cached all-pairs results from {})", dir.display());
+    } else {
+        eprintln!(
+            "(running all-pairs heatmap experiments [{} mode], this is the slow part...)",
+            mode.tag()
+        );
+        let report = daemon.run_cycle().expect("all-pairs cycle");
+        eprint!("{}", report.stats);
     }
-    let outcomes = run_pairs(&pairs, mode);
-    let mut store = ResultStore::new(format!("all-pairs heatmap run ({})", mode.tag()));
-    store.extend(outcomes);
-    store.save(&path).expect("save all-pairs results");
-    store
+    daemon.outcomes()
+}
+
+/// The outcomes of one setting, in their input order.
+pub fn outcomes_in(outcomes: &[PairOutcome], setting: &NetworkSetting) -> Vec<PairOutcome> {
+    let same = |o: &&PairOutcome| o.setting == setting.name;
+    outcomes.iter().filter(same).cloned().collect()
 }
 
 /// Labels for the heatmap service set, in canonical order.

@@ -20,7 +20,7 @@
 //! exist to catch a Cubic that *stopped sawtoothing*, not to pin exact
 //! constants.
 
-use crate::harness::{run_pair, run_solo, SoloRun};
+use crate::harness::{run_cca_pair, run_solo, SoloRun};
 use prudentia_cc::{
     AckSample, Bbr, BbrConfig, CcaKind, CongestionControl, Cubic, EcnSample, LedbatPP, LossSample,
     NewReno, Prague, MSS,
@@ -570,7 +570,7 @@ fn pair_self_fairness(setting: &NetworkSetting) -> CheckResult {
     let mut sum_a = 0.0;
     let mut worst = f64::INFINITY;
     for &seed in &seeds {
-        let run = run_pair(CcaKind::Cubic, CcaKind::Cubic, setting, seed, PAIR_DURATION);
+        let run = run_cca_pair(CcaKind::Cubic, CcaKind::Cubic, setting, seed, PAIR_DURATION);
         sum_a += run.share_a;
         worst = worst.min(run.share_a.min(run.share_b));
     }
@@ -592,7 +592,7 @@ fn pair_self_fairness(setting: &NetworkSetting) -> CheckResult {
 /// buffer depth). BBR must win the share battle.
 fn pair_bbr_cubic_shallow(setting: &NetworkSetting) -> CheckResult {
     let shallow = setting.clone().with_bdp_multiple(1);
-    let run = run_pair(
+    let run = run_cca_pair(
         CcaKind::BbrV1Linux515,
         CcaKind::Cubic,
         &shallow,
@@ -613,7 +613,7 @@ fn pair_bbr_cubic_shallow(setting: &NetworkSetting) -> CheckResult {
 /// At the paper's standard 4×BDP buffer the skew must shrink: Cubic gets
 /// a usable share back (deep buffers favour loss-based CCAs).
 fn pair_bbr_cubic_deep(setting: &NetworkSetting) -> CheckResult {
-    let run = run_pair(
+    let run = run_cca_pair(
         CcaKind::BbrV1Linux515,
         CcaKind::Cubic,
         setting,
@@ -640,7 +640,7 @@ fn pair_bbr_cubic_deep(setting: &NetworkSetting) -> CheckResult {
 /// 60 ms delay target), so the scavenger must retreat to its floor and
 /// leave Cubic ≥ 80% of the link.
 fn pair_ledbat_yields(setting: &NetworkSetting) -> CheckResult {
-    let run = run_pair(
+    let run = run_cca_pair(
         CcaKind::LedbatPP,
         CcaKind::Cubic,
         setting,
@@ -758,7 +758,7 @@ mod diag {
         let hc = NetworkSetting::highly_constrained();
         for seed in [1u64, 7, 42, 99] {
             for secs in [60u64, 120, 180] {
-                let run = run_pair(
+                let run = run_cca_pair(
                     CcaKind::Cubic,
                     CcaKind::Cubic,
                     &hc,

@@ -142,7 +142,7 @@ pub fn run_solo(
 }
 
 /// Run `a` against `b` on `setting` and report max-min-fair shares.
-pub fn run_pair(
+pub fn run_cca_pair(
     a: CcaKind,
     b: CcaKind,
     setting: &NetworkSetting,
@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn pair_shares_sum_to_utilization() {
         let setting = NetworkSetting::highly_constrained();
-        let run = run_pair(
+        let run = run_cca_pair(
             CcaKind::Cubic,
             CcaKind::NewReno,
             &setting,

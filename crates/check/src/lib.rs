@@ -31,7 +31,7 @@ pub mod sweep;
 
 pub use conformance::{run_conformance, CheckResult};
 pub use golden::{bless_all, compare_all, default_golden_dir, parallel_stability, GoldenOutcome};
-pub use harness::{run_pair, run_solo, PairRun, SoloRun, TraceRow, TICK};
+pub use harness::{run_cca_pair, run_solo, PairRun, SoloRun, TraceRow, TICK};
 pub use sweep::{run_sweep, SweepOutcome};
 
 use prudentia_sim::SimDuration;

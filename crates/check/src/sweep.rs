@@ -6,7 +6,7 @@
 //! unwind per trial so one bad scenario reports precisely instead of
 //! aborting the whole run.
 
-use crate::harness::run_pair;
+use crate::harness::run_cca_pair;
 use prudentia_cc::CcaKind;
 use prudentia_sim::{
     ImpairmentSpec, NetworkSetting, QdiscSpec, RateStep, ScenarioSpec, SimDuration,
@@ -86,7 +86,7 @@ pub fn run_sweep(duration: SimDuration, seed: u64) -> Vec<SweepOutcome> {
                 (CcaKind::Cubic, CcaKind::NewReno)
             };
             let result = catch_unwind(AssertUnwindSafe(|| {
-                run_pair(a, b, &setting, seed, duration)
+                run_cca_pair(a, b, &setting, seed, duration)
             }))
             .map(|_| ())
             .map_err(|e| {

@@ -73,7 +73,7 @@ pub struct CacheEntry {
     pub result: ExperimentResult,
 }
 
-/// On-disk snapshot (same JSON machinery as [`crate::ResultStore`]).
+/// On-disk snapshot: one JSON document of every cached trial.
 #[derive(Debug, Clone, Serialize, Deserialize, Default)]
 struct CacheSnapshot {
     entries: Vec<CacheEntry>,

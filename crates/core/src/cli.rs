@@ -12,8 +12,7 @@
 //! prudentia run <contender> <incumbent>   # one pair, both settings
 //! prudentia run --solo <service>          # solo max-throughput probe
 //! prudentia matrix                        # all-pairs heatmap
-//! prudentia watch                         # continuous watchdog loop
-//! prudentia watch --store DIR             # resumable daemon over the durable store
+//! prudentia watch [--store DIR]           # the watchdog daemon (temporary store by default)
 //! prudentia serve --store DIR             # HTTP status endpoint
 //! prudentia report --store DIR --out DIR  # static HTML/CSV report
 //! prudentia validate [--bless]            # conformance + invariants + golden traces
@@ -21,10 +20,7 @@
 //! prudentia classify <service>            # CCA classification
 //! ```
 //!
-//! Every subcommand answers `--help`. The pre-subcommand spellings
-//! (`prudentia pair`, `prudentia solo`, `--validate`) still work through
-//! a compatibility shim that prints a deprecation note to stderr while
-//! keeping stdout byte-identical to the new spelling.
+//! Every subcommand answers `--help`.
 
 use crate::campaign::{self, CampaignRunConfig, CampaignSpec};
 use crate::daemon::{Daemon, DaemonConfig, ShutdownFlag};
@@ -33,7 +29,7 @@ use crate::fleet::{self, FleetConfig, FleetManifest, FleetView, ShardSpec};
 use crate::serve::{serve, write_report, ServeConfig};
 use crate::{
     execute_pairs, run_solo, DurationPolicy, ExecutorConfig, Heatmap, HeatmapStat, NetworkSetting,
-    PairSpec, QdiscSpec, ScenarioSpec, TrialCache, TrialPolicy, Watchdog, WatchdogConfig,
+    PairSpec, QdiscSpec, ScenarioSpec, TrialCache, TrialPolicy, WatchdogConfig,
 };
 use prudentia_apps::Service;
 use prudentia_obs::MetricsRegistry;
@@ -46,11 +42,12 @@ prudentia — an Internet fairness watchdog (simulated testbed)
 usage: prudentia <command> [options]
 
 commands:
-  run <contender> <incumbent>  test one pair of services (alias: pair)
-  run --solo <service>         solo max-throughput probe (alias: solo)
+  run <contender> <incumbent>  test one pair of services
+  run --solo <service>         solo max-throughput probe
   matrix                       all-pairs fairness heatmap
-  watch                        continuous watchdog loop; --store DIR for the
-                               resumable daemon over the durable store
+  watch                        the watchdog daemon: cycles the matrix and
+                               reports fairness changes; --store DIR keeps
+                               its results (default: a temporary store)
   fleet <action>               sharded multi-process watchdog fleet:
                                spawn | status | merge | stop (--store ROOT)
   serve                        HTTP status endpoint over a store (--store DIR)
@@ -99,22 +96,26 @@ options:
 const WATCH_HELP: &str = "\
 usage: prudentia watch [options]
 
-Without --store: the in-memory continuous watchdog loop (one full matrix
-per iteration, reporting fairness changes between iterations).
+Run the watchdog daemon: each cycle tests every pair of the matrix and
+appends its outcome to a store. A pair whose incumbent MmF share moved
+by more than 20% against its previous stored outcome is reported as a
+fairness change under its cycle line. Scheduling is staleness-driven
+(never-tested pairs first, then oldest), progress is checkpointed, and a
+restarted daemon resumes mid-matrix without re-running completed pairs.
+SIGINT, SIGTERM or the flag file requests a graceful stop at the next
+batch boundary.
 
-With --store DIR: the persistent daemon. Every pair outcome is appended
-to the durable store, scheduling is staleness-driven (never-tested pairs
-first, then oldest), progress is checkpointed, and a restarted daemon
-resumes mid-matrix without re-running completed pairs. SIGINT or the
-flag file requests a graceful stop at the next batch boundary.
+With --store DIR the store is durable, so results, resume and change
+detection carry across runs. Without it the daemon runs over a
+temporary store that is removed on exit.
 
 options:
-  --store DIR        durable results store (enables daemon mode)
+  --store DIR        durable results store (default: temporary)
   --iterations N     cycles to run (default 1)
   --services A,B,..  subset of catalog labels (default: the Fig 2 set)
-  --batch-pairs N    pairs per executor batch in daemon mode (default 2)
+  --batch-pairs N    pairs per executor batch (default 2)
   --max-pairs N      stop after N pairs this run (checkpoint + exit)
-  --shard I/N        daemon mode: run only shard I of an N-shard fleet
+  --shard I/N        with --store: run only shard I of an N-shard fleet
                      (normally set by `prudentia fleet spawn`)
   --flag-file PATH   graceful-shutdown flag file
   --paper --trials N --parallel N --setting MBPS --scenario KIND
@@ -398,25 +399,8 @@ pub fn run(args: &[String]) -> Result<i32, PrudentiaError> {
         println!("{GLOBAL_HELP}");
         return Ok(0);
     }
-    // The compatibility shim: pre-subcommand spellings keep working with
-    // identical stdout; the note goes to stderr only.
-    let (command, legacy_solo) = match first {
-        "pair" => {
-            eprintln!(
-                "note: `prudentia pair` is deprecated; use `prudentia run <contender> <incumbent>`"
-            );
-            ("run", false)
-        }
-        "solo" => {
-            eprintln!("note: `prudentia solo` is deprecated; use `prudentia run --solo <service>`");
-            ("run", true)
-        }
-        "--validate" => ("validate", false),
-        other => (other, false),
-    };
-    let mut opts = parse_opts(&args[1..])?;
-    opts.solo |= legacy_solo;
-    match command {
+    let opts = parse_opts(&args[1..])?;
+    match first {
         "run" => {
             if opts.help {
                 println!("{RUN_HELP}");
@@ -581,11 +565,19 @@ fn cmd_run_pair(opts: &Opts) -> Result<i32, PrudentiaError> {
     };
     let (con, inc) = (find_service(a)?, find_service(b)?);
     let (policy, duration) = policy_for(opts);
-    for setting in settings_for(opts)? {
-        let out = crate::run_pair(&con.spec(), &inc.spec(), &setting, policy, duration, 0.0);
+    let pairs: Vec<PairSpec> = settings_for(opts)?
+        .into_iter()
+        .map(|setting| PairSpec {
+            contender: con.spec(),
+            incumbent: inc.spec(),
+            setting,
+        })
+        .collect();
+    let config = ExecutorConfig::new(policy, duration, opts.parallel);
+    for out in execute_pairs(&pairs, &config)?.0 {
         println!(
             "{}: {} (contender) vs {} (incumbent)",
-            setting.name, out.contender, out.incumbent
+            out.setting, out.contender, out.incumbent
         );
         println!(
             "  incumbent: median {:.0}% of MmF share  (IQR {:.2}-{:.2} Mbps over {} trials{})",
@@ -649,6 +641,15 @@ fn cmd_classify(opts: &Opts) -> Result<i32, PrudentiaError> {
     );
     println!("  (declared in Table 1 as: {})", spec.cca_label());
     Ok(0)
+}
+
+/// The graceful-shutdown flag: `--flag-file`, SIGINT or SIGTERM.
+fn shutdown_flag(opts: &Opts) -> ShutdownFlag {
+    ShutdownFlag::install_signal_handlers();
+    match &opts.flag_file {
+        Some(path) => ShutdownFlag::with_flag_file(path.clone()),
+        None => ShutdownFlag::new(),
+    }
 }
 
 /// Write the registry where `--metrics` pointed: CSV for a `.csv`
@@ -790,22 +791,47 @@ fn cmd_validate(opts: &Opts) -> Result<i32, PrudentiaError> {
     Ok(if report.passed() { 0 } else { 1 })
 }
 
-fn cmd_watch(opts: &Opts) -> Result<i32, PrudentiaError> {
-    if opts.store.is_some() {
-        return cmd_watch_daemon(opts);
+/// A temporary store directory, removed when dropped.
+struct TempStore(PathBuf);
+
+impl TempStore {
+    fn new() -> Self {
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_nanos());
+        let name = format!("prudentia-watch-{}-{nanos}", std::process::id());
+        TempStore(std::env::temp_dir().join(name))
     }
-    if opts.shard.is_some() {
+}
+
+impl Drop for TempStore {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+fn cmd_watch(opts: &Opts) -> Result<i32, PrudentiaError> {
+    if opts.store.is_none() && opts.shard.is_some() {
         return Err(PrudentiaError::Usage(
-            "--shard needs --store DIR (daemon mode)".to_string(),
+            "--shard needs --store DIR (a fleet worker's durable store)".to_string(),
         ));
     }
+    // The only difference between the modes: where the store lives.
+    let (store_dir, _temp) = match &opts.store {
+        Some(dir) => (dir.clone(), None),
+        None => {
+            let temp = TempStore::new();
+            (temp.0.clone(), Some(temp))
+        }
+    };
     let (policy, duration) = policy_for(opts);
     let registry = opts
         .metrics
         .as_ref()
         .map(|_| Arc::new(MetricsRegistry::new()));
     let _cmd_span = prudentia_obs::span!("watch");
-    let config = WatchdogConfig {
+    let mut config = DaemonConfig::new(store_dir);
+    config.watchdog = WatchdogConfig {
         settings: settings_for(opts)?,
         policy,
         duration,
@@ -814,17 +840,23 @@ fn cmd_watch(opts: &Opts) -> Result<i32, PrudentiaError> {
         cache_path: opts.cache.clone(),
         metrics: registry.clone(),
     };
+    config.batch_pairs = opts.batch_pairs.unwrap_or(config.batch_pairs);
+    config.max_pairs_per_run = opts.max_pairs;
+    config.shard = opts.shard;
+
+    // `Daemon::open` validates the config before touching the store.
     let services: Vec<_> = matrix_services(opts)?.iter().map(|s| s.spec()).collect();
-    let mut wd = Watchdog::new(services, config);
+    let mut daemon = Daemon::open(services, config)?;
+    daemon.set_shutdown(shutdown_flag(opts));
+
     for i in 1..=opts.iterations {
-        eprintln!("watchdog iteration {i}...");
-        let changes = wd.run_iteration();
+        eprintln!("daemon cycle pass {i}...");
+        let report = daemon.run_cycle()?;
         println!(
-            "iteration {i}: {} outcomes, {} fairness changes",
-            wd.store().outcomes.len(),
-            changes.len()
+            "cycle {}: {} pairs, {} already done, {} executed",
+            report.cycle, report.pairs_total, report.pairs_already_done, report.pairs_executed
         );
-        for c in changes {
+        for c in &report.changes {
             println!(
                 "  {} vs {} [{}]: {:.0}% -> {:.0}%",
                 c.contender,
@@ -835,71 +867,15 @@ fn cmd_watch(opts: &Opts) -> Result<i32, PrudentiaError> {
             );
         }
         if opts.stats {
-            if let Some(stats) = wd.last_stats() {
-                eprint!("{stats}");
-            }
+            eprint!("{}", report.stats);
         }
-    }
-    if opts.stats {
-        print_phase_breakdown();
-    }
-    if let (Some(reg), Some(path)) = (&registry, &opts.metrics) {
-        write_metrics(reg, path);
-    }
-    Ok(0)
-}
-
-fn cmd_watch_daemon(opts: &Opts) -> Result<i32, PrudentiaError> {
-    let store_dir = opts.store.clone().expect("caller checked --store");
-    let (policy, duration) = policy_for(opts);
-    let registry = opts
-        .metrics
-        .as_ref()
-        .map(|_| Arc::new(MetricsRegistry::new()));
-    let _cmd_span = prudentia_obs::span!("watch-daemon");
-    let mut builder = WatchdogConfig::builder()
-        .settings(settings_for(opts)?)
-        .policy(policy)
-        .duration(duration)
-        .parallelism(opts.parallel)
-        .change_threshold(0.2);
-    if let Some(path) = &opts.cache {
-        builder = builder.cache_path(path.clone());
-    }
-    if let Some(reg) = &registry {
-        builder = builder.metrics(Arc::clone(reg));
-    }
-    let mut config = DaemonConfig::new(store_dir);
-    config.watchdog = builder.build()?;
-    if let Some(batch) = opts.batch_pairs {
-        config.batch_pairs = batch;
-    }
-    config.max_pairs_per_run = opts.max_pairs;
-    config.shard = opts.shard;
-
-    let services: Vec<_> = matrix_services(opts)?.iter().map(|s| s.spec()).collect();
-    let mut daemon = Daemon::open(services, config)?;
-    let flag = match &opts.flag_file {
-        Some(path) => ShutdownFlag::with_flag_file(path.clone()),
-        None => ShutdownFlag::new(),
-    };
-    ShutdownFlag::install_sigint_handler();
-    daemon.set_shutdown(flag);
-
-    for i in 1..=opts.iterations {
-        eprintln!("daemon cycle pass {i}...");
-        let report = daemon.run_cycle()?;
-        println!(
-            "cycle {}: {} pairs, {} already done, {} executed",
-            report.cycle, report.pairs_total, report.pairs_already_done, report.pairs_executed
-        );
         if report.interrupted {
             println!("interrupted; checkpoint saved — rerun with --store to resume");
             break;
         }
-        if opts.stats {
-            print_phase_breakdown();
-        }
+    }
+    if opts.stats {
+        print_phase_breakdown();
     }
     if let (Some(reg), Some(path)) = (&registry, &opts.metrics) {
         write_metrics(reg, path);
@@ -1089,11 +1065,7 @@ fn serve_config(opts: &Opts, command: &str) -> Result<ServeConfig, PrudentiaErro
 
 fn cmd_serve(opts: &Opts) -> Result<i32, PrudentiaError> {
     let config = serve_config(opts, "serve")?;
-    let flag = match &opts.flag_file {
-        Some(path) => ShutdownFlag::with_flag_file(path.clone()),
-        None => ShutdownFlag::new(),
-    };
-    ShutdownFlag::install_sigint_handler();
+    let flag = shutdown_flag(opts);
     serve(&config, &flag)?;
     eprintln!("prudentia serve: shut down");
     Ok(0)
@@ -1200,11 +1172,7 @@ fn cmd_campaign_run(opts: &Opts) -> Result<i32, PrudentiaError> {
     if let Some(path) = &opts.cache {
         config.cache = Some(Arc::new(TrialCache::load(path)?));
     }
-    config.shutdown = match &opts.flag_file {
-        Some(path) => ShutdownFlag::with_flag_file(path.clone()),
-        None => ShutdownFlag::new(),
-    };
-    ShutdownFlag::install_sigint_handler();
+    config.shutdown = shutdown_flag(opts);
 
     let report = crate::campaign::run_campaign(&mut store, &config)?;
     let p = &report.progress;

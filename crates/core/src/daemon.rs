@@ -9,12 +9,17 @@
 //! * every completed pair outcome is appended to a durable
 //!   [`prudentia_store::Store`] under kind `"pair"`, tagged with cycle,
 //!   code version, scenario, and seed provenance;
+//! * before a pair's new outcome is appended, its incumbent MmF share is
+//!   compared with the pair's latest stored outcome; a relative change
+//!   above [`WatchdogConfig::change_threshold`] is reported as a
+//!   [`FairnessChange`] (Obs 13). The baseline is store history, so
+//!   detection survives restarts and works inside fleet workers;
 //! * within a cycle, pending pairs are ordered by [`staleness`]
 //!   [`crate::watchdog::staleness_order`]: never-tested pairs first,
 //!   then oldest results first;
-//! * shutdown is cooperative ([`ShutdownFlag`]: SIGINT, a flag file, or
-//!   an in-process request) and lands on a batch boundary, after which a
-//!   progress checkpoint is written;
+//! * shutdown is cooperative ([`ShutdownFlag`]: SIGINT or SIGTERM, a flag
+//!   file, or an in-process request) and lands on a batch boundary, after
+//!   which a progress checkpoint is written;
 //! * a restarted daemon reads the checkpoint, skips pairs already
 //!   recorded for the interrupted cycle, and finishes the remainder —
 //!   per-pair outcomes are deterministic, so the completed matrix is
@@ -25,11 +30,13 @@
 use crate::cache::{TrialCache, SPEC_SCHEMA_VERSION};
 use crate::config::NetworkSetting;
 use crate::error::PrudentiaError;
-use crate::executor::{execute_pairs, ExecutorConfig};
+use crate::executor::{execute_pairs, ExecutorConfig, SchedulerStats};
 use crate::fleet::ShardSpec;
 use crate::heatmap::{Heatmap, HeatmapStat};
 use crate::scheduler::{trial_seed, PairOutcome, PairSpec};
-use crate::watchdog::{pair_store_key, staleness_order, PairFreshness, WatchdogConfig};
+use crate::watchdog::{
+    pair_store_key, staleness_order, FairnessChange, PairFreshness, WatchdogConfig,
+};
 use prudentia_apps::ServiceSpec;
 use prudentia_store::{fnv1a_key, kinds, MergedSnapshot, Record, Snapshot, Store};
 use serde::{Deserialize, Serialize};
@@ -40,21 +47,21 @@ use std::sync::Arc;
 /// Schema version of [`Checkpoint`] payloads.
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
 
-/// Process-wide SIGINT latch (signal handlers need a static).
-static SIGINT_SEEN: AtomicBool = AtomicBool::new(false);
+/// Process-wide SIGINT/SIGTERM latch (signal handlers need a static).
+static SIGNAL_SEEN: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
-extern "C" fn handle_sigint(_sig: i32) {
+extern "C" fn handle_signal(_sig: i32) {
     // Only an atomic store: async-signal-safe.
-    SIGINT_SEEN.store(true, Ordering::SeqCst);
+    SIGNAL_SEEN.store(true, Ordering::SeqCst);
 }
 
 /// Cooperative shutdown signal for the daemon.
 ///
 /// A shutdown can be requested three ways, all observed at the next
 /// batch boundary: in-process via [`ShutdownFlag::request`], by SIGINT
-/// once [`ShutdownFlag::install_sigint_handler`] has run, or by
-/// creating the configured flag file (the portable option for service
+/// or SIGTERM once [`ShutdownFlag::install_signal_handlers`] has run, or
+/// by creating the configured flag file (the portable option for service
 /// managers without signal access).
 #[derive(Debug, Clone, Default)]
 pub struct ShutdownFlag {
@@ -84,28 +91,32 @@ impl ShutdownFlag {
     /// Whether shutdown has been requested by any mechanism.
     pub fn is_requested(&self) -> bool {
         self.requested.load(Ordering::SeqCst)
-            || SIGINT_SEEN.load(Ordering::SeqCst)
+            || SIGNAL_SEEN.load(Ordering::SeqCst)
             || self.flag_file.as_deref().is_some_and(|p| p.exists())
     }
 
-    /// Route SIGINT (ctrl-C) to the shutdown latch so an interrupted
-    /// daemon checkpoints instead of dying mid-append.
+    /// Route SIGINT (ctrl-C) and SIGTERM (what supervisors send) to the
+    /// shutdown latch so an interrupted daemon checkpoints instead of
+    /// dying mid-append.
     #[cfg(unix)]
-    pub fn install_sigint_handler() {
+    pub fn install_signal_handlers() {
         extern "C" {
             // Provided by the platform C library, which Rust links on
             // unix targets; declared raw to avoid a libc dependency.
             fn signal(signum: i32, handler: usize) -> usize;
         }
         const SIGINT: i32 = 2;
-        unsafe {
-            signal(SIGINT, handle_sigint as *const () as usize);
+        const SIGTERM: i32 = 15;
+        for signum in [SIGINT, SIGTERM] {
+            unsafe {
+                signal(signum, handle_signal as *const () as usize);
+            }
         }
     }
 
     /// No-op off unix: flag files and in-process requests still work.
     #[cfg(not(unix))]
-    pub fn install_sigint_handler() {}
+    pub fn install_signal_handlers() {}
 }
 
 /// Durable payload of one completed pair (store kind `"pair"`).
@@ -184,7 +195,7 @@ impl DaemonConfig {
 }
 
 /// What one [`Daemon::run_cycle`] call did.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CycleReport {
     /// Cycle number worked on.
     pub cycle: u64,
@@ -197,6 +208,12 @@ pub struct CycleReport {
     /// Whether the call stopped early (shutdown or per-run cap); the
     /// cycle can be resumed with another `run_cycle` call.
     pub interrupted: bool,
+    /// Pairs executed by this call whose incumbent MmF share moved by
+    /// more than the change threshold against the pair's previous
+    /// stored outcome, in execution order.
+    pub changes: Vec<FairnessChange>,
+    /// Executor telemetry of this call, summed over its batches.
+    pub stats: SchedulerStats,
 }
 
 impl CycleReport {
@@ -362,23 +379,29 @@ pub fn heatmaps(
     settings
         .iter()
         .map(|setting| {
-            let mut outcomes = Vec::new();
-            for a in services {
-                for b in services {
-                    let key = pair_store_key(a.name(), b.name(), &setting.name);
-                    if let Some(rec) = view.latest_record(kinds::PAIR, key) {
-                        if let Ok(pr) = rec.decode::<PairRecord>() {
-                            outcomes.push(pr.outcome);
-                        }
-                    }
-                }
-            }
+            let outcomes: Vec<PairOutcome> = services
+                .iter()
+                .flat_map(|a| services.iter().map(move |b| (a, b)))
+                .filter_map(|(a, b)| stored_outcome(view, a.name(), b.name(), &setting.name))
+                .collect();
             (
                 setting.name.clone(),
                 Heatmap::build(stat, &labels, &outcomes),
             )
         })
         .collect()
+}
+
+/// The freshest stored outcome of one pair, if it has been tested.
+fn stored_outcome(
+    view: &dyn LatestView,
+    contender: &str,
+    incumbent: &str,
+    setting: &str,
+) -> Option<PairOutcome> {
+    let key = pair_store_key(contender, incumbent, setting);
+    let record = view.latest_record(kinds::PAIR, key)?;
+    record.decode::<PairRecord>().ok().map(|r| r.outcome)
 }
 
 /// The resumable watchdog daemon. See the module docs for the design.
@@ -458,6 +481,22 @@ impl Daemon {
             &self.config.watchdog.settings,
             self.config.shard,
         )
+    }
+
+    /// The freshest stored outcome of every pair in [`plan`](Self::plan),
+    /// in plan order; pairs never tested are skipped.
+    pub fn outcomes(&self) -> Vec<PairOutcome> {
+        self.plan()
+            .iter()
+            .filter_map(|p| {
+                stored_outcome(
+                    &self.store,
+                    p.contender.name(),
+                    p.incumbent.name(),
+                    &p.setting.name,
+                )
+            })
+            .collect()
     }
 
     /// Per-pair freshness against the store.
@@ -546,21 +585,30 @@ impl Daemon {
                 .map(|i| subset[i].clone())
                 .collect()
         };
-        let already = plan.len() as u64 - pending.len() as u64;
-        let mut executed = 0u64;
+        let mut report = CycleReport {
+            cycle: ckpt.cycle,
+            pairs_total: plan.len() as u64,
+            pairs_already_done: plan.len() as u64 - pending.len() as u64,
+            pairs_executed: 0,
+            interrupted: false,
+            changes: Vec::new(),
+            stats: SchedulerStats::default(),
+        };
 
         for batch in pending.chunks(self.config.batch_pairs) {
             let capped = self
                 .config
                 .max_pairs_per_run
-                .is_some_and(|cap| executed >= cap);
+                .is_some_and(|cap| report.pairs_executed >= cap);
             if capped || self.shutdown.is_requested() {
-                return self.interrupt(&ckpt, already, executed);
+                return self.interrupt(&ckpt, report);
             }
-            let (outcomes, _) = execute_pairs(batch, &self.exec_config())?;
+            let (outcomes, stats) = execute_pairs(batch, &self.exec_config())?;
+            report.stats.absorb(stats);
             for (spec, outcome) in batch.iter().zip(outcomes) {
+                report.changes.extend(self.fairness_change(&outcome));
                 self.append_pair(ckpt.cycle, spec, outcome)?;
-                executed += 1;
+                report.pairs_executed += 1;
             }
         }
         self.write_checkpoint(&Checkpoint {
@@ -575,27 +623,22 @@ impl Daemon {
             "daemon",
             "cycle complete",
             cycle = ckpt.cycle,
-            executed = executed,
-            resumed = already,
+            executed = report.pairs_executed,
+            resumed = report.pairs_already_done,
+            changes = report.changes.len() as u64,
         );
-        Ok(CycleReport {
-            cycle: ckpt.cycle,
-            pairs_total: plan.len() as u64,
-            pairs_already_done: already,
-            pairs_executed: executed,
-            interrupted: false,
-        })
+        Ok(report)
     }
 
     /// Checkpoint an early exit and report it.
     fn interrupt(
         &mut self,
         ckpt: &Checkpoint,
-        already: u64,
-        executed: u64,
+        mut report: CycleReport,
     ) -> Result<CycleReport, PrudentiaError> {
+        let done = report.pairs_already_done + report.pairs_executed;
         self.write_checkpoint(&Checkpoint {
-            pairs_done: already + executed,
+            pairs_done: done,
             completed: false,
             ..ckpt.clone()
         })?;
@@ -606,16 +649,46 @@ impl Daemon {
             "daemon",
             "cycle interrupted at checkpoint",
             cycle = ckpt.cycle,
-            done = already + executed,
+            done = done,
             total = ckpt.pairs_total,
         );
-        Ok(CycleReport {
-            cycle: ckpt.cycle,
-            pairs_total: ckpt.pairs_total,
-            pairs_already_done: already,
-            pairs_executed: executed,
-            interrupted: true,
-        })
+        report.interrupted = true;
+        Ok(report)
+    }
+
+    /// `outcome`'s change against the pair's latest stored outcome of
+    /// the same schema, if it exceeds the change threshold.
+    fn fairness_change(&self, outcome: &PairOutcome) -> Option<FairnessChange> {
+        let key = pair_store_key(&outcome.contender, &outcome.incumbent, &outcome.setting);
+        let previous = self
+            .store
+            .latest(kinds::PAIR, key)
+            .filter(|r| r.schema == SPEC_SCHEMA_VERSION)?
+            .decode::<PairRecord>()
+            .ok()?;
+        let change = FairnessChange {
+            contender: outcome.contender.clone(),
+            incumbent: outcome.incumbent.clone(),
+            setting: outcome.setting.clone(),
+            before: previous.outcome.incumbent_mmf_median,
+            after: outcome.incumbent_mmf_median,
+        };
+        // A NaN share (a pair with no kept trials) never alerts.
+        if change.relative_change() > self.config.watchdog.change_threshold {
+            prudentia_obs::event!(
+                prudentia_obs::Level::Info,
+                "daemon",
+                "fairness change",
+                contender = change.contender.as_str(),
+                incumbent = change.incumbent.as_str(),
+                setting = change.setting.as_str(),
+                before = change.before,
+                after = change.after,
+            );
+            Some(change)
+        } else {
+            None
+        }
     }
 
     fn exec_config(&self) -> ExecutorConfig {

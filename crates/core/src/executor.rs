@@ -275,7 +275,7 @@ pub struct PairStats {
 
 /// Aggregate telemetry for one [`execute_pairs`] run, printed by the
 /// watchdog binary.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SchedulerStats {
     /// Wall-clock time of the whole run.
     pub wall: Duration,
@@ -298,6 +298,20 @@ pub struct SchedulerStats {
 }
 
 impl SchedulerStats {
+    /// Fold in the telemetry of a later run, as if both had been one
+    /// run executed back to back (the daemon runs a cycle in batches).
+    pub fn absorb(&mut self, later: SchedulerStats) {
+        self.wall += later.wall;
+        self.trials_run += later.trials_run;
+        self.trials_cached += later.trials_cached;
+        self.trials_discarded += later.trials_discarded;
+        self.sim_events += later.sim_events;
+        self.sim_secs += later.sim_secs;
+        self.trial_wall_total += later.trial_wall_total;
+        self.trial_wall_max = self.trial_wall_max.max(later.trial_wall_max);
+        self.pairs.extend(later.pairs);
+    }
+
     /// Executed + cached trials that reached the fold.
     pub fn trials_total(&self) -> usize {
         self.trials_run + self.trials_cached

@@ -2,9 +2,12 @@
 //!
 //! The Prudentia Internet-fairness watchdog: experiment specification and
 //! execution, the §3.4 adaptive-trials scheduler, fairness heatmaps
-//! (Figs 2/11/12/13), observation extraction, persistent results, and the
-//! continuous watchdog loop — all running over the packet-level simulator
-//! in `prudentia-sim` with the Table 1 service models in `prudentia-apps`.
+//! (Figs 2/11/12/13), observation extraction, and the one watchdog loop —
+//! the [`Daemon`], which cycles every pair over a durable store (chosen
+//! by the caller, or temporary), resumes after restarts, and raises the
+//! Obs 13 fairness-change alerts against stored history — all running
+//! over the packet-level simulator in `prudentia-sim` with the Table 1
+//! service models in `prudentia-apps`.
 //!
 //! Quick start:
 //!
@@ -46,7 +49,6 @@ pub mod experiment;
 pub mod fleet;
 pub mod heatmap;
 pub mod report;
-pub mod results;
 pub mod runner;
 pub mod scheduler;
 pub mod serve;
@@ -76,27 +78,24 @@ pub use heatmap::{Heatmap, HeatmapStat};
 pub use prudentia_obs::{MetricsRegistry, MetricsSnapshot};
 pub use prudentia_sim::{ImpairmentSpec, QdiscSpec, RateStep, ScenarioSpec};
 pub use report::{loser_shares, loser_stats, self_competition_mean, LoserStats, TransitivityRow};
-pub use results::ResultStore;
 pub use runner::{
     run_experiment, run_experiment_instrumented, run_experiment_observed, run_solo,
     EXTERNAL_LOSS_DISCARD,
 };
-pub use scheduler::{
-    run_pair, run_pairs_parallel, trial_seed, DurationPolicy, PairOutcome, PairSpec, TrialPolicy,
-};
+pub use scheduler::{trial_seed, DurationPolicy, PairOutcome, PairSpec, TrialPolicy};
 pub use serve::{serve, write_report, DegradedBody, FleetStatusBody, ServeConfig, StatusBody};
 pub use submissions::{
     ReportLine, SubmissionDesk, SubmissionError, SubmissionReport, Verdict, SUBMISSIONS_PER_CODE,
 };
 pub use watchdog::{
-    pair_store_key, staleness_order, FairnessChange, PairFreshness, Watchdog, WatchdogConfig,
+    pair_store_key, staleness_order, FairnessChange, PairFreshness, WatchdogConfig,
     WatchdogConfigBuilder,
 };
 
 /// The convenience prelude: `use prudentia_core::prelude::*;` pulls in
 /// everything needed for the common workflows — running experiments and
-/// pairs, building heatmaps, driving the watchdog or the persistent
-/// daemon, and serving or reporting from the durable store.
+/// pairs, building heatmaps, driving the watchdog daemon, and serving or
+/// reporting from its durable store.
 pub mod prelude {
     pub use crate::config::{NetworkSetting, NetworkSettingBuilder};
     pub use crate::daemon::{Daemon, DaemonConfig, ShutdownFlag};
@@ -105,9 +104,9 @@ pub mod prelude {
     pub use crate::experiment::{ExperimentResult, ExperimentSpec};
     pub use crate::heatmap::{Heatmap, HeatmapStat};
     pub use crate::runner::{run_experiment, run_solo};
-    pub use crate::scheduler::{run_pair, DurationPolicy, PairOutcome, PairSpec, TrialPolicy};
+    pub use crate::scheduler::{DurationPolicy, PairOutcome, PairSpec, TrialPolicy};
     pub use crate::serve::{serve, write_report, ServeConfig};
-    pub use crate::watchdog::{Watchdog, WatchdogConfig, WatchdogConfigBuilder};
+    pub use crate::watchdog::{FairnessChange, WatchdogConfig, WatchdogConfigBuilder};
     pub use prudentia_apps::{Service, ServiceSpec};
     pub use prudentia_store::{Snapshot, Store};
 }

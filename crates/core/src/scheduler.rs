@@ -6,12 +6,10 @@
 //! within the setting's tolerance; trials are interleaved round-robin
 //! across pairs to decorrelate time-local noise, and trials with
 //! excessive external loss are discarded and replaced. Execution itself
-//! lives in [`crate::executor`]: a continuously-fed worker pool that
-//! re-evaluates each pair's stopping rule as trials land. [`run_pair`]
-//! and [`run_pairs_parallel`] are thin wrappers over it.
+//! lives in [`crate::executor::execute_pairs`]: a continuously-fed
+//! worker pool that re-evaluates each pair's stopping rule as trials land.
 
 use crate::config::NetworkSetting;
-use crate::executor::{execute_pairs, ExecutorConfig};
 use crate::experiment::{ExperimentResult, ExperimentSpec};
 use prudentia_apps::ServiceSpec;
 use prudentia_sim::SimDuration;
@@ -163,32 +161,6 @@ pub fn trial_seed(contender: &str, incumbent: &str, setting: &str, trial: usize)
     h.finish()
 }
 
-/// Run one pair under the adaptive-trials policy (single worker).
-///
-/// Legacy convenience wrapper over [`execute_pairs`]: it keeps its
-/// infallible signature for the regeneration binaries and panics on a
-/// config the executor would reject (an unsatisfiable `policy` or an
-/// `external_loss` outside `[0, 1)`). Fallible callers should build an
-/// [`ExecutorConfig`] and call [`execute_pairs`] directly.
-pub fn run_pair(
-    contender: &ServiceSpec,
-    incumbent: &ServiceSpec,
-    setting: &NetworkSetting,
-    policy: TrialPolicy,
-    duration: DurationPolicy,
-    external_loss: f64,
-) -> PairOutcome {
-    let pairs = [PairSpec {
-        contender: contender.clone(),
-        incumbent: incumbent.clone(),
-        setting: setting.clone(),
-    }];
-    let mut config = ExecutorConfig::new(policy, duration, 1);
-    config.external_loss = external_loss;
-    let (mut outcomes, _) = execute_pairs(&pairs, &config).expect("run_pair: invalid config");
-    outcomes.pop().expect("one pair in, one outcome out")
-}
-
 pub(crate) fn summarize_pair(
     contender: &ServiceSpec,
     incumbent: &ServiceSpec,
@@ -240,37 +212,16 @@ pub struct PairSpec {
     pub setting: NetworkSetting,
 }
 
-/// Run many pairs on the work-stealing trial pool ([`execute_pairs`]),
-/// discarding telemetry. Trials are claimed round-robin across pairs
-/// (the paper's interleaving) and each pair's stopping rule is
-/// re-evaluated as trials land, so converged pairs stop issuing work
-/// immediately. Results are identical for any `parallelism`.
-///
-/// Legacy convenience wrapper: like [`run_pair`] it keeps an infallible
-/// signature and panics on a config [`execute_pairs`] would reject.
-pub fn run_pairs_parallel(
-    pairs: &[PairSpec],
-    policy: TrialPolicy,
-    duration: DurationPolicy,
-    parallelism: usize,
-) -> Vec<PairOutcome> {
-    let config = ExecutorConfig::new(policy, duration, parallelism.max(1));
-    execute_pairs(pairs, &config)
-        .expect("run_pairs_parallel: invalid config")
-        .0
-}
-
-/// Wall-clock of a full iteration (informational, mirrors the paper's "a
-/// full run of one trial of every pair takes ~20 hours" discussion —
-/// in simulation it is the simulated time that matters).
-pub fn simulated_time_per_iteration(pairs: usize, duration: DurationPolicy) -> SimDuration {
-    SimDuration::from_secs(duration.trial_secs()) * pairs as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{execute_pairs, ExecutorConfig};
     use prudentia_apps::Service;
+
+    fn run(pairs: &[PairSpec], policy: TrialPolicy, parallelism: usize) -> Vec<PairOutcome> {
+        let config = ExecutorConfig::new(policy, DurationPolicy::Quick, parallelism);
+        execute_pairs(pairs, &config).expect("valid config").0
+    }
 
     #[test]
     fn seeds_are_stable_and_distinct() {
@@ -285,18 +236,17 @@ mod tests {
 
     #[test]
     fn run_pair_collects_trials() {
-        let out = run_pair(
-            &Service::IperfCubic.spec(),
-            &Service::IperfReno.spec(),
-            &NetworkSetting::highly_constrained(),
-            TrialPolicy {
-                min_trials: 3,
-                batch: 2,
-                max_trials: 5,
-            },
-            DurationPolicy::Quick,
-            0.0,
-        );
+        let pair = PairSpec {
+            contender: Service::IperfCubic.spec(),
+            incumbent: Service::IperfReno.spec(),
+            setting: NetworkSetting::highly_constrained(),
+        };
+        let policy = TrialPolicy {
+            min_trials: 3,
+            batch: 2,
+            max_trials: 5,
+        };
+        let out = run(&[pair], policy, 1).pop().expect("one outcome");
         assert!(out.trials.len() >= 3);
         assert!(out.incumbent_mmf_median > 0.0);
         assert!(out.utilization_median > 0.8);
@@ -316,16 +266,12 @@ mod tests {
                 setting: NetworkSetting::highly_constrained(),
             },
         ];
-        let out = run_pairs_parallel(
-            &pairs,
-            TrialPolicy {
-                min_trials: 3,
-                batch: 2,
-                max_trials: 5,
-            },
-            DurationPolicy::Quick,
-            4,
-        );
+        let policy = TrialPolicy {
+            min_trials: 3,
+            batch: 2,
+            max_trials: 5,
+        };
+        let out = run(&pairs, policy, 4);
         assert_eq!(out.len(), 2);
         for o in &out {
             assert!(o.trials.len() >= 3, "{} trials", o.trials.len());
@@ -344,8 +290,8 @@ mod tests {
             batch: 2,
             max_trials: 3,
         };
-        let a = run_pairs_parallel(&pairs, p, DurationPolicy::Quick, 4);
-        let b = run_pairs_parallel(&pairs, p, DurationPolicy::Quick, 2);
+        let a = run(&pairs, p, 4);
+        let b = run(&pairs, p, 2);
         assert_eq!(a[0].incumbent_mmf_median, b[0].incumbent_mmf_median);
     }
 }

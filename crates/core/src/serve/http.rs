@@ -133,9 +133,9 @@ pub(super) fn serve_http(
 
     on_bound(&local.to_string());
 
-    // Janitor: wait for the shutdown flag (set by SIGINT, the flag
-    // file, or a worker answering /shutdown), then wake every blocked
-    // accept with a loopback connection and join the pool.
+    // Janitor: wait for the shutdown flag (set by SIGINT or SIGTERM, the
+    // flag file, or a worker answering /shutdown), then wake every
+    // blocked accept with a loopback connection and join the pool.
     while !shutdown.is_requested() {
         std::thread::park_timeout(JANITOR_PERIOD);
     }

@@ -9,7 +9,9 @@
 //! standard incumbents and produces the report a submitter receives.
 
 use crate::config::NetworkSetting;
-use crate::scheduler::{run_pair, DurationPolicy, PairOutcome, TrialPolicy};
+use crate::error::PrudentiaError;
+use crate::executor::{execute_pairs, ExecutorConfig};
+use crate::scheduler::{DurationPolicy, PairSpec, TrialPolicy};
 use prudentia_apps::ServiceSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -140,36 +142,44 @@ impl SubmissionDesk {
     }
 
     /// Evaluate the next pending submission against `incumbents` in the
-    /// given settings; returns `None` when the queue is empty.
+    /// given settings; returns `None` when the queue is empty. An invalid
+    /// policy or setting is an error that leaves the submission queued.
     pub fn evaluate_next(
         &mut self,
         incumbents: &[ServiceSpec],
         settings: &[NetworkSetting],
         policy: TrialPolicy,
         duration: DurationPolicy,
-    ) -> Option<SubmissionReport> {
-        let (_, spec) = if self.queue.is_empty() {
-            return None;
-        } else {
-            self.queue.remove(0)
+    ) -> Result<Option<SubmissionReport>, PrudentiaError> {
+        let Some((_, spec)) = self.queue.first() else {
+            return Ok(None);
         };
-        let mut lines = Vec::new();
-        for setting in settings {
-            for inc in incumbents {
-                let out: PairOutcome = run_pair(&spec, inc, setting, policy, duration, 0.0);
-                lines.push(ReportLine {
-                    incumbent: inc.name().to_string(),
-                    setting: setting.name.clone(),
-                    incumbent_share: out.incumbent_mmf_median,
-                    submitted_share: out.contender_mmf_median,
-                    verdict: Verdict::from_share(out.incumbent_mmf_median),
-                });
-            }
-        }
-        Some(SubmissionReport {
+        let pairs: Vec<PairSpec> = settings
+            .iter()
+            .flat_map(|setting| {
+                incumbents.iter().map(|inc| PairSpec {
+                    contender: spec.clone(),
+                    incumbent: inc.clone(),
+                    setting: setting.clone(),
+                })
+            })
+            .collect();
+        let (outcomes, _) = execute_pairs(&pairs, &ExecutorConfig::new(policy, duration, 1))?;
+        let (_, spec) = self.queue.remove(0);
+        let lines = outcomes
+            .into_iter()
+            .map(|out| ReportLine {
+                verdict: Verdict::from_share(out.incumbent_mmf_median),
+                incumbent_share: out.incumbent_mmf_median,
+                submitted_share: out.contender_mmf_median,
+                incumbent: out.incumbent,
+                setting: out.setting,
+            })
+            .collect();
+        Ok(Some(SubmissionReport {
             service: spec.name().to_string(),
             lines,
-        })
+        }))
     }
 }
 
@@ -232,19 +242,32 @@ mod tests {
         )
         .expect("submit");
         let (policy, duration) = tiny();
+        let incumbents = [Service::IperfReno.spec()];
+        let settings = [NetworkSetting::highly_constrained()];
+        // An unsatisfiable policy is rejected before the queue pops.
+        let bad = TrialPolicy {
+            min_trials: 0,
+            ..policy
+        };
+        let err = desk.evaluate_next(&incumbents, &settings, bad, duration);
+        assert_eq!(err.unwrap_err().exit_code(), 6);
+        assert_eq!(
+            desk.pending(),
+            1,
+            "a rejected evaluation keeps the submission"
+        );
         let report = desk
-            .evaluate_next(
-                &[Service::IperfReno.spec()],
-                &[NetworkSetting::highly_constrained()],
-                policy,
-                duration,
-            )
+            .evaluate_next(&incumbents, &settings, policy, duration)
+            .expect("valid config")
             .expect("one pending");
         assert_eq!(report.lines.len(), 1);
         // Five flows against one: the single-flow incumbent must lose.
         assert!(report.lines[0].incumbent_share < 0.9);
         assert_ne!(report.overall(), Verdict::Ok);
         // Queue drained.
-        assert!(desk.evaluate_next(&[], &[], policy, duration).is_none());
+        assert!(desk
+            .evaluate_next(&[], &[], policy, duration)
+            .expect("valid config")
+            .is_none());
     }
 }

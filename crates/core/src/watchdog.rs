@@ -1,33 +1,32 @@
-//! The continuous watchdog loop.
+//! The watchdog's configuration and scheduling vocabulary.
 //!
 //! Prudentia "runs continuously", iterating over all service pairs in both
-//! settings (one full cycle of the real testbed takes ~2 weeks). The
-//! [`Watchdog`] drives the same loop over the simulator: each iteration
-//! runs every pair in every configured setting, appends to the result
-//! store, and reports services whose fairness profile *changed* since the
-//! previous iteration — the capability Observation 13 shows mattering
-//! (BBRv3 deployments and kernel upgrades change fairness outcomes).
+//! settings (one full cycle of the real testbed takes ~2 weeks). The one
+//! loop that does so is the durable [`crate::daemon::Daemon`]; this module
+//! holds what it is configured and scheduled with:
 //!
-//! This module also hosts the *staleness scheduler* used by the durable
-//! daemon ([`crate::daemon`]): given the latest stored outcome per pair,
-//! [`staleness_order`] prioritizes never-tested pairs, then the pairs
-//! whose results are oldest — so an interrupted or freshly-extended
-//! matrix converges on full coverage instead of re-running whatever
-//! happens to come first.
+//! * [`WatchdogConfig`] — settings, trial policy, parallelism, trial
+//!   cache, and the [`change_threshold`](WatchdogConfig::change_threshold)
+//!   above which a pair's new outcome is reported as a [`FairnessChange`]
+//!   against its previous stored outcome — the capability Observation 13
+//!   shows mattering (BBRv3 deployments and kernel upgrades change
+//!   fairness outcomes);
+//! * [`pair_store_key`], the durable identity of a pair;
+//! * the *staleness scheduler*: given the latest stored outcome per pair,
+//!   [`staleness_order`] prioritizes never-tested pairs, then the pairs
+//!   whose results are oldest — so an interrupted or freshly-extended
+//!   matrix converges on full coverage instead of re-running whatever
+//!   happens to come first.
 
-use crate::cache::TrialCache;
 use crate::config::NetworkSetting;
 use crate::error::PrudentiaError;
-use crate::executor::{execute_pairs, ExecutorConfig, SchedulerStats};
-use crate::results::ResultStore;
-use crate::scheduler::{DurationPolicy, PairOutcome, PairSpec, TrialPolicy};
-use prudentia_apps::ServiceSpec;
+use crate::scheduler::{DurationPolicy, PairSpec, TrialPolicy};
 use prudentia_obs::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// A detected change in a pair's fairness between iterations.
+/// A detected change in a pair's fairness between two stored outcomes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FairnessChange {
     /// Contender name.
@@ -243,164 +242,13 @@ where
     idx
 }
 
-/// The continuously-iterating fairness watchdog.
-pub struct Watchdog {
-    services: Vec<ServiceSpec>,
-    config: WatchdogConfig,
-    store: ResultStore,
-    last_iteration: Vec<PairOutcome>,
-    iterations_run: u64,
-    cache: Option<Arc<TrialCache>>,
-    last_stats: Option<SchedulerStats>,
-}
-
-impl Watchdog {
-    /// Create a watchdog over a set of services. Services can be swapped
-    /// in and out between iterations (the testbed accepts submissions).
-    /// If the config names a cache path, the cache is loaded now (a
-    /// missing or unreadable file starts cold).
-    pub fn new(services: Vec<ServiceSpec>, config: WatchdogConfig) -> Self {
-        let cache = config.cache_path.as_ref().map(|path| {
-            Arc::new(TrialCache::load(path).unwrap_or_else(|e| {
-                eprintln!("warning: ignoring trial cache {}: {e}", path.display());
-                TrialCache::new()
-            }))
-        });
-        Watchdog {
-            services,
-            config,
-            store: ResultStore::new("prudentia watchdog"),
-            last_iteration: Vec::new(),
-            iterations_run: 0,
-            cache,
-            last_stats: None,
-        }
-    }
-
-    /// Add a service to the rotation (e.g. an externally submitted URL).
-    pub fn add_service(&mut self, spec: ServiceSpec) {
-        self.services.push(spec);
-    }
-
-    /// Remove a service by name; returns whether it was present.
-    pub fn remove_service(&mut self, name: &str) -> bool {
-        let before = self.services.len();
-        self.services.retain(|s| s.name() != name);
-        self.services.len() != before
-    }
-
-    /// Services currently in rotation.
-    pub fn services(&self) -> &[ServiceSpec] {
-        &self.services
-    }
-
-    /// Completed iterations.
-    pub fn iterations_run(&self) -> u64 {
-        self.iterations_run
-    }
-
-    /// The accumulated result store.
-    pub fn store(&self) -> &ResultStore {
-        &self.store
-    }
-
-    /// Executor telemetry from the most recent iteration.
-    pub fn last_stats(&self) -> Option<&SchedulerStats> {
-        self.last_stats.as_ref()
-    }
-
-    /// The trial cache, when configured.
-    pub fn cache(&self) -> Option<&Arc<TrialCache>> {
-        self.cache.as_ref()
-    }
-
-    /// All (contender, incumbent, setting) combinations of one iteration.
-    fn pairs(&self) -> Vec<PairSpec> {
-        let mut out = Vec::new();
-        for setting in &self.config.settings {
-            for a in &self.services {
-                for b in &self.services {
-                    out.push(PairSpec {
-                        contender: a.clone(),
-                        incumbent: b.clone(),
-                        setting: setting.clone(),
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    /// Run one full iteration (all pairs, all settings); returns fairness
-    /// changes versus the previous iteration.
-    pub fn run_iteration(&mut self) -> Vec<FairnessChange> {
-        let pairs = self.pairs();
-        let mut exec = ExecutorConfig::new(
-            self.config.policy,
-            self.config.duration,
-            self.config.parallelism,
-        );
-        if let Some(cache) = &self.cache {
-            exec = exec.with_cache(Arc::clone(cache));
-        }
-        if let Some(metrics) = &self.config.metrics {
-            exec = exec.with_metrics(Arc::clone(metrics));
-        }
-        let (outcomes, stats) =
-            execute_pairs(&pairs, &exec).expect("watchdog: validated config is accepted");
-        if let (Some(cache), Some(path)) = (&self.cache, &self.config.cache_path) {
-            if let Err(e) = cache.save(path) {
-                eprintln!(
-                    "warning: failed to save trial cache {}: {e}",
-                    path.display()
-                );
-            }
-        }
-        self.last_stats = Some(stats);
-        let changes = self.diff(&outcomes);
-        prudentia_obs::event!(
-            prudentia_obs::Level::Info,
-            "watchdog",
-            "iteration complete",
-            iteration = self.iterations_run + 1,
-            pairs = outcomes.len() as u64,
-            changes = changes.len() as u64,
-        );
-        self.store.extend(outcomes.iter().cloned());
-        self.last_iteration = outcomes;
-        self.iterations_run += 1;
-        changes
-    }
-
-    fn diff(&self, current: &[PairOutcome]) -> Vec<FairnessChange> {
-        let mut changes = Vec::new();
-        for now in current {
-            if let Some(prev) = self.last_iteration.iter().find(|p| {
-                p.contender == now.contender
-                    && p.incumbent == now.incumbent
-                    && p.setting == now.setting
-            }) {
-                let change = FairnessChange {
-                    contender: now.contender.clone(),
-                    incumbent: now.incumbent.clone(),
-                    setting: now.setting.clone(),
-                    before: prev.incumbent_mmf_median,
-                    after: now.incumbent_mmf_median,
-                };
-                if change.relative_change() > self.config.change_threshold {
-                    changes.push(change);
-                }
-            }
-        }
-        changes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::daemon::{CycleReport, Daemon, DaemonConfig};
     use prudentia_apps::Service;
 
+    /// A zero change threshold: any movement at all is reported.
     fn tiny_config() -> WatchdogConfig {
         WatchdogConfig {
             settings: vec![NetworkSetting::highly_constrained()],
@@ -411,41 +259,48 @@ mod tests {
             },
             duration: DurationPolicy::Quick,
             parallelism: 4,
-            change_threshold: 0.2,
+            change_threshold: 0.0,
             cache_path: None,
             metrics: None,
         }
     }
 
-    #[test]
-    fn iteration_covers_all_pairs() {
-        let mut wd = Watchdog::new(
-            vec![Service::IperfReno.spec(), Service::IperfCubic.spec()],
-            tiny_config(),
-        );
-        let changes = wd.run_iteration();
-        assert!(changes.is_empty(), "first iteration has no baseline");
-        assert_eq!(wd.store().outcomes.len(), 4); // 2x2 pairs x 1 setting
-        assert_eq!(wd.iterations_run(), 1);
+    /// `n` cycles of the one watchdog loop, the daemon, over a fresh store.
+    fn cycles(
+        name: &str,
+        services: &[Service],
+        config: WatchdogConfig,
+        n: u64,
+    ) -> Vec<CycleReport> {
+        let dir = std::env::temp_dir()
+            .join("prudentia_watchdog_unit")
+            .join(name);
+        std::fs::remove_dir_all(&dir).ok();
+        let mut daemon_config = DaemonConfig::new(&dir);
+        daemon_config.watchdog = config;
+        let specs = services.iter().map(|s| s.spec()).collect();
+        let mut daemon = Daemon::open(specs, daemon_config).expect("daemon opens");
+        let reports = (0..n)
+            .map(|_| daemon.run_cycle().expect("cycle runs"))
+            .collect();
+        std::fs::remove_dir_all(&dir).ok();
+        reports
     }
 
     #[test]
-    fn service_rotation() {
-        let mut wd = Watchdog::new(vec![Service::IperfReno.spec()], tiny_config());
-        wd.add_service(Service::IperfCubic.spec());
-        assert_eq!(wd.services().len(), 2);
-        assert!(wd.remove_service("iPerf (Reno)"));
-        assert!(!wd.remove_service("nonexistent"));
-        assert_eq!(wd.services().len(), 1);
+    fn iteration_covers_all_pairs() {
+        let services = [Service::IperfReno, Service::IperfCubic];
+        let report = &cycles("covers", &services, tiny_config(), 1)[0];
+        assert!(report.changes.is_empty(), "first cycle has no baseline");
+        assert_eq!(report.pairs_executed, 4); // 2x2 pairs x 1 setting
     }
 
     #[test]
     fn unchanged_services_produce_no_changes() {
-        let mut wd = Watchdog::new(vec![Service::IperfReno.spec()], tiny_config());
-        wd.run_iteration();
-        let changes = wd.run_iteration();
+        let reports = cycles("unchanged", &[Service::IperfReno], tiny_config(), 2);
         // Deterministic seeds => identical outcomes => no changes.
-        assert!(changes.is_empty(), "{changes:?}");
+        assert_eq!((reports[1].cycle, reports[1].pairs_executed), (2, 1));
+        assert!(reports[1].changes.is_empty(), "{:?}", reports[1].changes);
     }
 
     #[test]
@@ -454,18 +309,17 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("trials.json");
         std::fs::remove_file(&path).ok();
-        let mut config = tiny_config();
-        config.cache_path = Some(path.clone());
-        let mut wd = Watchdog::new(vec![Service::IperfReno.spec()], config);
-        wd.run_iteration();
-        let cold = wd.last_stats().expect("stats recorded");
+        let config = WatchdogConfig {
+            cache_path: Some(path.clone()),
+            ..tiny_config()
+        };
+        let reports = cycles("cached", &[Service::IperfReno], config, 2);
+        let (cold, warm) = (&reports[0].stats, &reports[1].stats);
         assert!(cold.trials_run > 0);
         assert_eq!(cold.trials_cached, 0);
-        wd.run_iteration();
-        let warm = wd.last_stats().expect("stats recorded");
         assert_eq!(warm.trials_run, 0, "unchanged pairs are fully memoized");
         assert!(warm.cache_hit_rate() > 0.99);
-        assert!(path.exists(), "cache persisted between iterations");
+        assert!(path.exists(), "cache persisted between cycles");
         std::fs::remove_file(&path).ok();
     }
 

@@ -13,9 +13,12 @@
 
 use prudentia_apps::{Service, ServiceSpec};
 use prudentia_cc::CcaKind;
-use prudentia_core::{run_pair, DurationPolicy, NetworkSetting, TrialPolicy};
+use prudentia_core::{
+    execute_pairs, DurationPolicy, ExecutorConfig, NetworkSetting, PairSpec, PrudentiaError,
+    TrialPolicy,
+};
 
-fn main() {
+fn main() -> Result<(), PrudentiaError> {
     // The submitted service: an aggressive 3-flow downloader.
     let submitted = ServiceSpec::Bulk {
         name: "startup-downloader".into(),
@@ -52,15 +55,17 @@ fn main() {
             "  {:<14} {:>14} {:>14} {:>8}",
             "incumbent", "their share", "your share", "verdict"
         );
-        for inc in &incumbents {
-            let out = run_pair(
-                &submitted,
-                &inc.spec(),
-                &setting,
-                policy,
-                DurationPolicy::Quick,
-                0.0,
-            );
+        let pairs: Vec<PairSpec> = incumbents
+            .iter()
+            .map(|inc| PairSpec {
+                contender: submitted.clone(),
+                incumbent: inc.spec(),
+                setting: setting.clone(),
+            })
+            .collect();
+        let config = ExecutorConfig::new(policy, DurationPolicy::Quick, 1);
+        let (outcomes, _) = execute_pairs(&pairs, &config)?;
+        for (inc, out) in incumbents.iter().zip(outcomes) {
             let verdict = if out.incumbent_mmf_median < 0.5 {
                 "HARMFUL"
             } else if out.incumbent_mmf_median < 0.9 {
@@ -81,4 +86,5 @@ fn main() {
     println!("services (Obs 3). Consider a single connection, or validate against");
     println!("the full pairwise matrix before deployment — fairness against one");
     println!("incumbent does not generalize (Obs 14).");
+    Ok(())
 }

@@ -1,7 +1,8 @@
 //! The continuous watchdog loop — a miniature of the live deployment at
-//! internetfairness.net: iterate over all service pairs, persist results,
-//! and flag pairs whose fairness profile changed between iterations
-//! (the capability that detected Google Drive's BBRv3 rollout, Obs 13).
+//! internetfairness.net: cycle over all service pairs, persist every
+//! outcome in a durable store, and flag pairs whose fairness profile
+//! changed against their previous stored outcome (the capability that
+//! detected Google Drive's BBRv3 rollout, Obs 13).
 //!
 //! ```sh
 //! cargo run --release --example watchdog_daemon
@@ -9,61 +10,69 @@
 
 use prudentia_apps::{Service, ServiceSpec};
 use prudentia_cc::CcaKind;
-use prudentia_core::{DurationPolicy, NetworkSetting, TrialPolicy, Watchdog, WatchdogConfig};
+use prudentia_core::{
+    Daemon, DaemonConfig, DurationPolicy, NetworkSetting, PrudentiaError, TrialPolicy,
+    WatchdogConfig,
+};
+use std::path::Path;
 
-fn main() {
-    // A small rotation so the example finishes promptly; the default
-    // config watches the full Table 1 set under the paper's protocol.
-    let services = vec![
+/// Open the daemon over `store`. A small rotation and a short trial
+/// policy keep the example prompt; the default config watches both
+/// settings under the paper's protocol.
+fn open(services: Vec<ServiceSpec>, store: &Path) -> Result<Daemon, PrudentiaError> {
+    let mut config = DaemonConfig::new(store);
+    config.watchdog = WatchdogConfig::builder()
+        .settings(vec![NetworkSetting::highly_constrained()])
+        .policy(TrialPolicy {
+            min_trials: 2,
+            batch: 1,
+            max_trials: 3,
+        })
+        .duration(DurationPolicy::Quick)
+        .change_threshold(0.15)
+        .build()?;
+    Daemon::open(services, config)
+}
+
+fn main() -> Result<(), PrudentiaError> {
+    let store =
+        std::env::temp_dir().join(format!("prudentia-watchdog-example-{}", std::process::id()));
+    std::fs::remove_dir_all(&store).ok();
+    let mut services = vec![
         Service::Dropbox.spec(),
         Service::YouTube.spec(),
         Service::IperfReno.spec(),
     ];
-    let config = WatchdogConfig {
-        settings: vec![NetworkSetting::highly_constrained()],
-        policy: TrialPolicy {
-            min_trials: 2,
-            batch: 1,
-            max_trials: 3,
-        },
-        duration: DurationPolicy::Quick,
-        parallelism: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2),
-        change_threshold: 0.15,
-        cache_path: None,
-        metrics: None,
-    };
-    let mut watchdog = Watchdog::new(services, config);
 
-    println!("iteration 1: establishing the baseline...");
-    let changes = watchdog.run_iteration();
-    assert!(changes.is_empty(), "no baseline yet, no changes");
+    println!("cycle 1: establishing the baseline...");
+    let first = open(services.clone(), &store)?.run_cycle()?;
+    assert!(first.changes.is_empty(), "no baseline yet, no changes");
     println!(
-        "  {} pair outcomes recorded",
-        watchdog.store().outcomes.len()
+        "  {} pair outcomes recorded in {}",
+        first.pairs_executed,
+        store.display()
     );
 
     // Simulate a provider deployment: "Dropbox" upgrades its servers from
-    // BBRv1 to BBRv3 between iterations (exactly the class of change the
-    // real watchdog caught at Google Drive in 2023).
-    println!("\n(between iterations: Dropbox deploys BBRv3 on its servers)\n");
-    watchdog.remove_service("Dropbox");
-    watchdog.add_service(ServiceSpec::Bulk {
+    // BBRv1 to BBRv3 between cycles (exactly the class of change the real
+    // watchdog caught at Google Drive in 2023). The restarted daemon
+    // reopens the same store, so its baseline is the stored cycle 1.
+    println!("\n(between cycles: Dropbox deploys BBRv3 on its servers)\n");
+    services[0] = ServiceSpec::Bulk {
         name: "Dropbox".into(),
         cca: CcaKind::BbrV3,
         flows: 1,
         cap_bps: None,
         file_bytes: None,
-    });
+    };
 
-    println!("iteration 2: re-testing all pairs...");
-    let changes = watchdog.run_iteration();
-    if changes.is_empty() {
+    println!("cycle 2: re-testing all pairs against the stored outcomes...");
+    let second = open(services, &store)?.run_cycle()?;
+    if second.changes.is_empty() {
         println!("  no fairness changes above the reporting threshold");
     } else {
         println!("  fairness changes detected:");
-        for c in &changes {
+        for c in &second.changes {
             println!(
                 "    {} vs {} [{}]: incumbent MmF share {:.0}% -> {:.0}% ({:+.0}%)",
                 c.contender,
@@ -76,9 +85,11 @@ fn main() {
         }
     }
     println!(
-        "\nwatchdog ran {} iterations, {} outcomes stored; services are not",
-        watchdog.iterations_run(),
-        watchdog.store().outcomes.len()
+        "\nwatchdog ran {} cycles, {} outcomes stored; services are not",
+        second.cycle,
+        first.pairs_executed + second.pairs_executed
     );
     println!("'one and done' — fairness must be monitored continuously (§7).");
+    std::fs::remove_dir_all(&store).ok();
+    Ok(())
 }

@@ -1,8 +1,8 @@
-//! Golden CLI tests: the restructured subcommand interface must keep
-//! stdout byte-identical to the pre-subcommand spellings, route errors
-//! to their documented exit codes, and answer `--help` everywhere.
+//! Golden CLI tests: the subcommand interface must keep its stdout
+//! deterministic, route errors to their documented exit codes, and
+//! answer `--help` everywhere.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn prudentia(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_prudentia"))
@@ -19,52 +19,35 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).to_string()
 }
 
-#[test]
-fn legacy_pair_and_new_run_print_identical_stdout() {
-    let common = [
-        "iperf-reno",
-        "iperf-cubic",
-        "--trials",
-        "1",
-        "--setting",
-        "8",
-        "--seed",
-        "7",
-    ];
-    let legacy = prudentia(&[&["pair"], &common[..]].concat());
-    let modern = prudentia(&[&["run"], &common[..]].concat());
-    assert!(legacy.status.success(), "pair failed: {}", stderr(&legacy));
-    assert!(modern.status.success(), "run failed: {}", stderr(&modern));
-    let legacy_out = stdout(&legacy);
-    assert!(!legacy_out.is_empty());
-    assert!(legacy_out.contains("(contender) vs"), "{legacy_out}");
-    assert_eq!(legacy_out, stdout(&modern), "golden stdout must match");
-    assert!(
-        stderr(&legacy).contains("deprecated"),
-        "legacy spelling must print a deprecation note: {}",
-        stderr(&legacy)
-    );
-    assert!(
-        !stderr(&modern).contains("deprecated"),
-        "new spelling must not warn: {}",
-        stderr(&modern)
-    );
+/// Split a space-separated argument line.
+fn argv(line: &str) -> Vec<&str> {
+    line.split_whitespace().collect()
 }
 
 #[test]
-fn legacy_solo_and_run_solo_print_identical_stdout() {
-    let legacy = prudentia(&["solo", "iperf-reno", "--seed", "3"]);
-    let modern = prudentia(&["run", "--solo", "iperf-reno", "--seed", "3"]);
-    assert!(legacy.status.success(), "solo failed: {}", stderr(&legacy));
+fn legacy_pair_spelling_exits_2_and_run_prints_the_pair() {
+    let pair = "iperf-reno iperf-cubic --trials 1 --setting 8 --seed 7";
+    let modern = prudentia(&argv(&format!("run {pair}")));
+    assert!(modern.status.success(), "run failed: {}", stderr(&modern));
+    let text = stdout(&modern);
+    assert!(text.contains("(contender) vs"), "{text}");
     assert!(
-        modern.status.success(),
-        "run --solo failed: {}",
+        !stderr(&modern).contains("deprecated"),
+        "{}",
         stderr(&modern)
     );
-    let legacy_out = stdout(&legacy);
-    assert!(legacy_out.contains("solo over"), "{legacy_out}");
-    assert_eq!(legacy_out, stdout(&modern));
-    assert!(stderr(&legacy).contains("deprecated"));
+    let legacy = prudentia(&argv(&format!("pair {pair}")));
+    assert_eq!(legacy.status.code(), Some(2), "`pair` is not a command");
+}
+
+#[test]
+fn legacy_solo_spelling_exits_2_and_run_solo_probes() {
+    let modern = prudentia(&argv("run --solo iperf-reno --seed 3"));
+    assert!(modern.status.success(), "run --solo: {}", stderr(&modern));
+    assert!(stdout(&modern).contains("solo over"), "{}", stdout(&modern));
+    for legacy in ["solo iperf-reno --seed 3", "--validate"] {
+        assert_eq!(prudentia(&argv(legacy)).status.code(), Some(2), "{legacy}");
+    }
 }
 
 #[test]
@@ -136,4 +119,65 @@ fn errors_map_to_documented_exit_codes() {
     // Unreadable store: store error (5).
     let out = prudentia(&["report", "--store", "/nonexistent/prudentia-store"]);
     assert_eq!(out.status.code(), Some(5), "stderr: {}", stderr(&out));
+}
+
+#[test]
+fn zero_trials_is_an_invalid_config_not_a_panic() {
+    let store = std::env::temp_dir().join("prudentia_cli_zero_trials");
+    let daemon = format!("watch --store {} --services iperf-reno", store.display());
+    for cmd in [
+        "run iperf-reno iperf-cubic",
+        "watch --services iperf-reno",
+        &daemon,
+    ] {
+        let out = prudentia(&argv(&format!("{cmd} --trials 0 --setting 8")));
+        assert_eq!(out.status.code(), Some(6), "{cmd}: {}", stderr(&out));
+        assert!(
+            !stderr(&out).contains("panicked"),
+            "{cmd}: {}",
+            stderr(&out)
+        );
+    }
+    std::fs::remove_dir_all(&store).ok();
+}
+
+#[test]
+fn watch_prints_the_same_with_a_temporary_or_a_durable_store() {
+    let base = std::env::temp_dir().join("prudentia_cli_watch_modes");
+    std::fs::remove_dir_all(&base).ok();
+    let matrix = format!(
+        "--services iperf-reno,iperf-cubic --trials 1 --setting 8 --iterations 2 --cache {}",
+        base.join("trials.json").display()
+    );
+    let child = Command::new(env!("CARGO_BIN_EXE_prudentia"))
+        .args(argv(&format!("watch --stats {matrix}")))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("prudentia binary runs");
+    let temp_store = format!("prudentia-watch-{}-", child.id());
+    let storeless = child.wait_with_output().expect("watch exits");
+    let text = stdout(&storeless);
+    for cycle in ["cycle 1", "cycle 2"] {
+        let line = format!("{cycle}: 4 pairs, 0 already done, 4 executed");
+        assert!(text.contains(&line), "{text}");
+    }
+    let log = stderr(&storeless);
+    assert!(
+        log.contains("trials: 0 simulated"),
+        "cycle 2 replays: {log}"
+    );
+    let left = std::fs::read_dir(std::env::temp_dir())
+        .expect("temp dir lists")
+        .flatten()
+        .any(|e| e.file_name().to_string_lossy().starts_with(&temp_store));
+    assert!(!left, "the temporary store must be removed on exit");
+
+    let store = base.join("store");
+    let durable = prudentia(&argv(&format!(
+        "watch --store {} {matrix}",
+        store.display()
+    )));
+    assert_eq!(text, stdout(&durable), "only the store location may differ");
+    std::fs::remove_dir_all(&base).ok();
 }

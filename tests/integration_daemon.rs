@@ -4,15 +4,18 @@
 //! * a daemon stopped mid-matrix and restarted resumes without
 //!   re-running completed pairs and converges to a final report that is
 //!   byte-identical to an uninterrupted run;
-//! * the flag file requests a graceful stop at a batch boundary;
+//! * the flag file, and SIGTERM mid-cycle, request a graceful stop at a
+//!   batch boundary;
 //! * `prudentia serve` answers the status endpoint over a real socket
 //!   and shuts down cleanly via `/shutdown`.
 
+use prudentia_core::daemon::latest_checkpoint;
+use prudentia_core::Checkpoint;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const MATRIX_ARGS: &[&str] = &[
     "--services",
@@ -183,6 +186,63 @@ fn flag_file_present_at_startup_stops_before_any_work() {
     );
     std::fs::remove_file(&flag).ok();
     std::fs::remove_dir_all(&store).ok();
+}
+
+/// The store's latest daemon checkpoint, once the store is readable.
+fn checkpoint(store: &Path) -> Option<Checkpoint> {
+    let snapshot = prudentia_store::Snapshot::read(store).ok()?;
+    latest_checkpoint(&snapshot)
+}
+
+#[test]
+fn sigterm_mid_cycle_checkpoints_and_resumes_to_a_byte_identical_report() {
+    let base = tmp_dir("sigterm");
+    let store = base.join("store");
+    let mut args = vec!["watch", "--store", store.to_str().unwrap()];
+    args.extend_from_slice(MATRIX_ARGS);
+    args.extend_from_slice(&["--batch-pairs", "1"]);
+    let child = Command::new(env!("CARGO_BIN_EXE_prudentia"))
+        .args(&args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("watch spawns");
+
+    // The cycle's opening checkpoint is written after the signal
+    // handlers are installed, so from then on SIGTERM lands mid-cycle.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while checkpoint(&store).is_none() {
+        assert!(Instant::now() < deadline, "the cycle never opened");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let kill = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status();
+    assert!(kill.expect("kill runs").success());
+    let out = child.wait_with_output().expect("watch exits");
+    assert!(out.status.success(), "SIGTERM must stop with exit 0");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("interrupted"), "{text}");
+    let ckpt = checkpoint(&store).expect("progress checkpoint");
+    assert!(!ckpt.completed, "the interrupted cycle is not complete");
+
+    // Rerunning the command finishes the cycle ...
+    let resumed = watch(&store, &["--batch-pairs", "1"]);
+    let text = String::from_utf8_lossy(&resumed.stdout);
+    assert!(
+        resumed.status.success() && text.contains("cycle 1:"),
+        "{text}"
+    );
+    assert!(!text.contains("interrupted"), "{text}");
+    // ... to the bytes of an uninterrupted run.
+    let baseline_store = base.join("baseline_store");
+    assert!(watch(&baseline_store, &[]).status.success());
+    assert_eq!(
+        report_csvs(&store, &base.join("report")),
+        report_csvs(&baseline_store, &base.join("baseline_report")),
+        "a SIGTERM'd and resumed cycle must match an uninterrupted run"
+    );
+    std::fs::remove_dir_all(&base).ok();
 }
 
 #[test]

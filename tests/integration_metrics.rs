@@ -3,8 +3,8 @@
 
 use prudentia_apps::Service;
 use prudentia_core::{
-    loser_stats, run_pairs_parallel, DurationPolicy, Heatmap, HeatmapStat, NetworkSetting,
-    PairSpec, TrialPolicy,
+    execute_pairs, loser_stats, DurationPolicy, ExecutorConfig, Heatmap, HeatmapStat,
+    NetworkSetting, PairSpec, TrialPolicy,
 };
 
 fn mini_allpairs() -> (Vec<String>, Vec<prudentia_core::PairOutcome>) {
@@ -19,16 +19,13 @@ fn mini_allpairs() -> (Vec<String>, Vec<prudentia_core::PairOutcome>) {
             });
         }
     }
-    let outcomes = run_pairs_parallel(
-        &pairs,
-        TrialPolicy {
-            min_trials: 2,
-            batch: 1,
-            max_trials: 2,
-        },
-        DurationPolicy::Quick,
-        4,
-    );
+    let policy = TrialPolicy {
+        min_trials: 2,
+        batch: 1,
+        max_trials: 2,
+    };
+    let config = ExecutorConfig::new(policy, DurationPolicy::Quick, 4);
+    let (outcomes, _) = execute_pairs(&pairs, &config).expect("valid config");
     let labels = services
         .iter()
         .map(|s| s.spec().name().to_string())
